@@ -17,7 +17,7 @@
 
 use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
-use smartmem_bench::{parse_bench_args, render_table};
+use smartmem_bench::{parse_bench_args, render_table, SMOKE_MODELS};
 use smartmem_core::{Framework, SmartMemPipeline};
 use smartmem_models::by_name;
 use smartmem_sim::DeviceConfig;
@@ -39,7 +39,7 @@ fn main() {
     let args = parse_bench_args();
     assert!(args.cache_dir.is_none(), "fig11 takes --smoke and --json only");
     let models: &[&str] = if args.smoke {
-        &["Swin", "ResNext"]
+        SMOKE_MODELS
     } else {
         &["CSwin", "FlattenFormer", "SMTFormer", "Swin", "ViT", "ConvNext", "ResNext", "Yolo-V8"]
     };

@@ -6,7 +6,11 @@
 //! ```text
 //! cargo run -p smartmem-bench --release --bin pass_timing
 //! cargo run -p smartmem-bench --release --bin pass_timing -- --cache-dir target/smartmem-cache
+//! cargo run -p smartmem-bench --release --bin pass_timing -- --smoke
 //! ```
+//!
+//! `--smoke` compiles only the `fig11 --smoke` subset (Swin-T and
+//! ResNext) in the zoo sections, instead of the whole zoo.
 //!
 //! With `--cache-dir`, the zoo compile writes every artifact through to
 //! disk; rerunning against the same directory performs **zero** cold
@@ -15,10 +19,10 @@
 
 use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
-use smartmem_bench::{parse_bench_args, render_pass_timings, render_table};
+use smartmem_bench::{parse_bench_args, render_pass_timings, render_table, SMOKE_MODELS};
 use smartmem_core::{eliminate_with_options, CompileSession, Framework, SmartMemPipeline};
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
-use smartmem_models::all_models;
+use smartmem_models::{all_models, by_name};
 use smartmem_sim::DeviceConfig;
 use std::time::Instant;
 
@@ -42,7 +46,6 @@ fn edit_demo_model(edited: bool) -> Graph {
 
 fn main() {
     let args = parse_bench_args();
-    assert!(!args.smoke, "pass_timing takes --cache-dir DIR, --json PATH and --import FILE only");
     let cache_dir = args.cache_dir;
     let device = DeviceConfig::snapdragon_8gen2();
     let frameworks = all_mobile_frameworks();
@@ -187,7 +190,11 @@ fn main() {
         Some(dir) => CompileSession::with_cache_dir(dir).expect("open cache dir"),
         None => CompileSession::new(),
     };
-    let entries = all_models();
+    let entries = if args.smoke {
+        SMOKE_MODELS.iter().map(|name| by_name(name).expect("smoke model in the zoo")).collect()
+    } else {
+        all_models()
+    };
     let graphs: Vec<_> = entries.iter().map(|m| m.graph()).collect();
     let cold_start = Instant::now();
     let results = session.compile_batch(&frameworks, &graphs, &device, 0);

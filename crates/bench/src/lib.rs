@@ -137,6 +137,10 @@ pub fn parse_cache_dir_arg() -> Option<std::path::PathBuf> {
     args.cache_dir
 }
 
+/// The models a `--smoke` run covers, where a binary's full run walks
+/// a larger part of the zoo.
+pub const SMOKE_MODELS: &[&str] = &["Swin", "ResNext"];
+
 /// The shared command line of the table/figure binaries.
 #[derive(Clone, Debug, Default)]
 pub struct BenchArgs {

@@ -31,7 +31,7 @@ use smartmem_index::IndexMap;
 use smartmem_ir::{Graph, MemoryClass, Op, PhysicalAddress, Shape};
 use smartmem_sim::{DeviceConfig, KernelProfile, LatencyClass, MemCounters, OpCost};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Output-space sample budget per kernel.
@@ -137,15 +137,20 @@ impl OptimizedGraph {
 
         for (gi, group) in self.groups.iter().enumerate() {
             let anchor = graph.node(group.anchor);
-            let anchor_out_shape = graph.tensor(anchor.outputs[0]).shape.clone();
-            let out_shape = graph.tensor(group.output).shape.clone();
+            let anchor_out_shape = &graph.tensor(anchor.outputs[0]).shape;
             let anchor_numel = anchor_out_shape.numel();
-            let out_numel = out_shape.numel();
+            let out_numel = graph.tensor(group.output).shape.numel();
+            // A retained transformation kernel evaluates its own
+            // pull-back on the anchor reads.
+            let own_map = own_pullback(graph, group);
+            let own_cost = own_map.as_ref().map(|m| m.cost().weighted());
 
             // --- Sampled trace (memoized) ----------------------------
             let trace = {
                 let key = group_signature(graph, group);
-                memo.entry(key).or_insert_with(|| trace_group(graph, group, device, elem)).clone()
+                memo.entry(key)
+                    .or_insert_with(|| trace_group(graph, group, own_map.as_ref(), device, elem))
+                    .clone()
             };
 
             // --- Per-operand DRAM traffic ----------------------------
@@ -159,7 +164,7 @@ impl OptimizedGraph {
                 let is_anchor_read = read.member == group.anchor;
                 let iter_numel = if is_anchor_read { anchor_numel } else { out_numel } as f64;
                 let ppr = if is_anchor_read {
-                    per_point_reads(graph, &anchor.op, read, &anchor_out_shape)
+                    per_point_reads(graph, &anchor.op, read, anchor_out_shape)
                 } else {
                     1.0
                 };
@@ -193,11 +198,9 @@ impl OptimizedGraph {
                         accesses_texture += requests;
                     }
                 }
-                let _ = accesses;
                 let mut map_cost = read.map.as_ref().map(|m| m.cost().weighted()).unwrap_or(0.0);
-                if is_anchor_read && is_eliminable(&anchor.op) {
-                    map_cost +=
-                        own_pullback(graph, group).map(|m| m.cost().weighted()).unwrap_or(0.0);
+                if let Some(own) = own_cost.filter(|_| is_anchor_read) {
+                    map_cost += own;
                 }
                 // Index expressions are evaluated once per *distinct*
                 // element: loop-invariant sub-expressions are hoisted out
@@ -507,14 +510,29 @@ fn elem_key(addr: PhysicalAddress) -> u64 {
 }
 
 /// Runs the sampled trace and measures per-operand line drag.
-fn trace_group(graph: &Graph, group: &KernelGroup, device: &DeviceConfig, elem: u64) -> GroupTrace {
+///
+/// Coordinates live in flat buffers reused across the group's operands
+/// (`rank` values per coordinate, counts kept explicitly because rank-0
+/// coordinates take no values); each operand's index map is evaluated
+/// in one batch, and distinct elements and granules are counted by
+/// sort + dedup.
+fn trace_group(
+    graph: &Graph,
+    group: &KernelGroup,
+    own_map: Option<&IndexMap>,
+    device: &DeviceConfig,
+    elem: u64,
+) -> GroupTrace {
     let anchor = graph.node(group.anchor);
-    let anchor_out = graph.tensor(anchor.outputs[0]).shape.clone();
-    let out_shape = graph.tensor(group.output).shape.clone();
-    let own_map = own_pullback(graph, group);
-
-    let anchor_samples = sample_subvolume(anchor_out.dims(), MAX_OUT_SAMPLES);
-    let out_samples = sample_subvolume(out_shape.dims(), MAX_OUT_SAMPLES);
+    let anchor_dims = graph.tensor(anchor.outputs[0]).shape.dims();
+    let out_dims = graph.tensor(group.output).shape.dims();
+    let (anchor_samples, anchor_count) = sample_subvolume(anchor_dims, MAX_OUT_SAMPLES);
+    let (out_samples, out_count) = sample_subvolume(out_dims, MAX_OUT_SAMPLES);
+    // The anchor's own pull-back of every anchor sample, in one batch.
+    let mut own_coords = Vec::new();
+    if let Some(m) = own_map {
+        m.eval_batch(&anchor_samples, anchor_count, &mut own_coords);
+    }
 
     let granule_bytes = |layout: &smartmem_ir::Layout| -> f64 {
         match layout.memory_class() {
@@ -527,41 +545,47 @@ fn trace_group(graph: &Graph, group: &KernelGroup, device: &DeviceConfig, elem: 
     let max_drag = |layout: &smartmem_ir::Layout| -> f64 { granule_bytes(layout) / elem as f64 };
 
     let mut reads = Vec::with_capacity(group.reads.len());
-    let mut scratch = Vec::new();
+    let (mut decl, mut mapped) = (Vec::new(), Vec::new());
+    let (mut elems, mut granules) = (Vec::new(), Vec::new());
     for read in &group.reads {
-        let src_shape = graph.tensor(read.source).shape.clone();
+        let src_shape = &graph.tensor(read.source).shape;
         let is_anchor_read = read.member == group.anchor;
-        let samples = if is_anchor_read { &anchor_samples } else { &out_samples };
-        let decl_dims = graph.tensor(read.logical).shape.dims().to_vec();
-        let mut elems: HashSet<u64> = HashSet::new();
-        let mut granules: HashSet<u64> = HashSet::new();
-        for coord in samples {
-            scratch.clear();
-            if is_anchor_read {
-                anchor_read_coords(
-                    graph,
-                    &anchor.op,
-                    read,
-                    coord,
-                    &decl_dims,
-                    own_map.as_ref(),
-                    &mut scratch,
-                );
+        let (samples, count, rank) = if is_anchor_read {
+            (&anchor_samples, anchor_count, anchor_dims.len())
+        } else {
+            (&out_samples, out_count, out_dims.len())
+        };
+        let decl_dims = graph.tensor(read.logical).shape.dims();
+        decl.clear();
+        let mut n = 0;
+        for i in 0..count {
+            let coord = &samples[i * rank..(i + 1) * rank];
+            n += if is_anchor_read {
+                let own = own_map.map(|m| &own_coords[i * m.in_rank()..(i + 1) * m.in_rank()]);
+                anchor_read_coords(graph, &anchor.op, read, coord, decl_dims, own, &mut decl)
             } else {
-                scratch.push(clamp_broadcast(coord, &decl_dims));
-            }
-            for decl_coord in &scratch {
-                let src_coord = match &read.map {
-                    None => decl_coord.clone(),
-                    Some(m) => m.eval(decl_coord),
-                };
-                let addr = read.layout.address(&src_shape, &src_coord);
-                elems.insert(elem_key(addr));
-                granules.insert(granule_key(addr, device, elem));
-            }
+                clamp_broadcast(coord, decl_dims, &mut decl);
+                1
+            };
         }
-        let useful = (elems.len() as f64 * elem as f64).max(1.0);
-        let dragged = granules.len() as f64 * granule_bytes(&read.layout);
+        assert_eq!(decl.len(), n * decl_dims.len(), "coordinate rank mismatch");
+        let (src, src_rank) = match &read.map {
+            None => (&decl, decl_dims.len()),
+            Some(m) => {
+                mapped.clear();
+                m.eval_batch(&decl, n, &mut mapped);
+                (&mapped, m.in_rank())
+            }
+        };
+        elems.clear();
+        granules.clear();
+        for i in 0..n {
+            let addr = read.layout.address(src_shape, &src[i * src_rank..(i + 1) * src_rank]);
+            elems.push(elem_key(addr));
+            granules.push(granule_key(addr, device, elem));
+        }
+        let useful = (distinct(&mut elems) as f64 * elem as f64).max(1.0);
+        let dragged = distinct(&mut granules) as f64 * granule_bytes(&read.layout);
         let drag = (dragged / useful).clamp(1.0, max_drag(&read.layout));
         reads.push(EdgeTrace { drag });
     }
@@ -570,14 +594,21 @@ fn trace_group(graph: &Graph, group: &KernelGroup, device: &DeviceConfig, elem: 
     // follows the output layout and GPU write-combining absorbs the
     // residual scatter (this is also why the paper finds sub-optimal
     // *writes* cheaper than sub-optimal *reads*, SS3.2.2).
-    let _ = out_shape;
     let write = EdgeTrace { drag: 1.0 };
     GroupTrace { reads, write }
 }
 
+/// Number of distinct keys (sorts and dedups `keys` in place).
+fn distinct(keys: &mut Vec<u64>) -> usize {
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len()
+}
+
 /// Contiguous sub-volume of `dims` with at most `budget` points,
-/// allocated innermost-first.
-fn sample_subvolume(dims: &[usize], budget: usize) -> Vec<Vec<usize>> {
+/// allocated innermost-first. Returns the points flat (`dims.len()`
+/// values each) and their count.
+fn sample_subvolume(dims: &[usize], budget: usize) -> (Vec<usize>, usize) {
     let mut window = vec![1usize; dims.len()];
     let mut remaining = budget.max(1);
     for i in (0..dims.len()).rev() {
@@ -586,10 +617,10 @@ fn sample_subvolume(dims: &[usize], budget: usize) -> Vec<Vec<usize>> {
         remaining = (remaining / window[i]).max(1);
     }
     let total: usize = window.iter().product();
-    let mut coords = Vec::with_capacity(total);
+    let mut coords = Vec::with_capacity(total * dims.len());
     let mut c = vec![0usize; dims.len()];
     for _ in 0..total {
-        coords.push(c.clone());
+        coords.extend_from_slice(&c);
         for d in (0..dims.len()).rev() {
             c[d] += 1;
             if c[d] < window[d] {
@@ -598,22 +629,18 @@ fn sample_subvolume(dims: &[usize], budget: usize) -> Vec<Vec<usize>> {
             c[d] = 0;
         }
     }
-    coords
+    (coords, total)
 }
 
 /// Right-aligned broadcast clamp of an iteration coordinate onto a
-/// (possibly lower-rank / size-1) operand shape.
-fn clamp_broadcast(coord: &[usize], decl_dims: &[usize]) -> Vec<usize> {
+/// (possibly lower-rank / size-1) operand shape, appended to `out`.
+fn clamp_broadcast(coord: &[usize], decl_dims: &[usize], out: &mut Vec<usize>) {
     let shift = decl_dims.len() as isize - coord.len() as isize;
-    decl_dims
-        .iter()
-        .enumerate()
-        .map(|(j, &d)| {
-            let ci = j as isize - shift;
-            let c = if ci >= 0 { coord.get(ci as usize).copied().unwrap_or(0) } else { 0 };
-            c.min(d.saturating_sub(1))
-        })
-        .collect()
+    out.extend(decl_dims.iter().enumerate().map(|(j, &d)| {
+        let ci = j as isize - shift;
+        let c = if ci >= 0 { coord.get(ci as usize).copied().unwrap_or(0) } else { 0 };
+        c.min(d.saturating_sub(1))
+    }));
 }
 
 /// SplitMix64 for pseudo-random gather rows.
@@ -624,26 +651,29 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Generates the declared-space coordinates read by the anchor for one
-/// output point (inner loops sampled up to [`MAX_INNER`]).
+/// Appends the declared-space coordinates read by the anchor for one
+/// output point (inner loops sampled up to [`MAX_INNER`]) to `out`,
+/// `decl_dims.len()` values each, and returns how many it appended.
+/// `own_coord` is the anchor's own pull-back of `out_coord`, for a
+/// retained transformation kernel.
 fn anchor_read_coords(
     graph: &Graph,
     op: &Op,
     read: &EdgeRead,
     out_coord: &[usize],
     decl_dims: &[usize],
-    own_map: Option<&IndexMap>,
-    out: &mut Vec<Vec<usize>>,
-) {
+    own_coord: Option<&[usize]>,
+    out: &mut Vec<usize>,
+) -> usize {
     match op {
         Op::Conv2d { stride, padding, groups } => {
             let member = graph.node(read.member);
-            let w = graph.tensor(member.inputs[1]).shape.clone();
+            let w = &graph.tensor(member.inputs[1]).shape;
             let (cpg, kh, kw) = (w.dim(1), w.dim(2), w.dim(3));
             let (n, oc, oh, ow) = (out_coord[0], out_coord[1], out_coord[2], out_coord[3]);
             let o_per_g = w.dim(0) / groups;
             let g_idx = oc / o_per_g.max(1);
-            let mut emitted = 0usize;
+            let (mut emitted, mut pushed) = (0usize, 0usize);
             'outer: for ic in 0..cpg {
                 for dh in 0..kh {
                     for dw in 0..kw {
@@ -662,17 +692,25 @@ fn anchor_read_coords(
                                 {
                                     continue;
                                 }
-                                out.push(vec![n, g_idx * cpg + ic, ih as usize, iw as usize]);
+                                out.extend_from_slice(&[
+                                    n,
+                                    g_idx * cpg + ic,
+                                    ih as usize,
+                                    iw as usize,
+                                ]);
                             }
-                            1 => out.push(vec![oc, ic, dh, dw]),
+                            1 => out.extend_from_slice(&[oc, ic, dh, dw]),
                             _ => {
-                                out.push(vec![oc.min(decl_dims[0].saturating_sub(1))]);
+                                out.push(oc.min(decl_dims[0].saturating_sub(1)));
+                                pushed += 1;
                                 break 'outer;
                             }
                         }
+                        pushed += 1;
                     }
                 }
             }
+            pushed
         }
         Op::MatMul { trans_a, trans_b } => {
             let rank = decl_dims.len();
@@ -694,48 +732,46 @@ fn anchor_read_coords(
             };
             let or = out_coord.len();
             let (m, n) = (out_coord[or - 2], out_coord[or - 1]);
-            let batch = clamp_broadcast(&out_coord[..or - 2], &decl_dims[..rank - 2]);
-            for k in 0..k_extent.min(MAX_INNER) {
-                let mut c = batch.clone();
+            let steps = k_extent.min(MAX_INNER);
+            // Every step shares the first step's broadcast batch prefix.
+            let base = out.len();
+            for k in 0..steps {
+                if k == 0 {
+                    clamp_broadcast(&out_coord[..or - 2], &decl_dims[..rank - 2], out);
+                } else {
+                    out.extend_from_within(base..base + rank - 2);
+                }
                 match read.operand_idx {
                     0 => {
                         if *trans_a {
-                            c.push(k);
-                            c.push(m.min(decl_dims[rank - 1] - 1));
+                            out.extend_from_slice(&[k, m.min(decl_dims[rank - 1] - 1)]);
                         } else {
-                            c.push(m.min(decl_dims[rank - 2] - 1));
-                            c.push(k);
+                            out.extend_from_slice(&[m.min(decl_dims[rank - 2] - 1), k]);
                         }
                     }
                     _ => {
                         if *trans_b {
-                            c.push(n.min(decl_dims[rank - 2] - 1));
-                            c.push(k);
+                            out.extend_from_slice(&[n.min(decl_dims[rank - 2] - 1), k]);
                         } else {
-                            c.push(k);
-                            c.push(n.min(decl_dims[rank - 1] - 1));
+                            out.extend_from_slice(&[k, n.min(decl_dims[rank - 1] - 1)]);
                         }
                     }
                 }
-                out.push(c);
             }
+            steps
         }
         Op::LayerNorm { axes } | Op::Reduce { axes, .. } => {
-            reduction_space_coords(out_coord, decl_dims, axes, out);
+            reduction_space_coords(out_coord, decl_dims, axes, out)
         }
-        Op::InstanceNorm => {
-            reduction_space_coords(out_coord, decl_dims, &[2, 3], out);
-        }
-        Op::Softmax { axis } => {
-            reduction_space_coords(out_coord, decl_dims, &[*axis], out);
-        }
+        Op::InstanceNorm => reduction_space_coords(out_coord, decl_dims, &[2, 3], out),
+        Op::Softmax { axis } => reduction_space_coords(out_coord, decl_dims, &[*axis], out),
         Op::Pool2d { kernel, stride, padding, .. } => {
             let (n, c0, oh, ow) = (out_coord[0], out_coord[1], out_coord[2], out_coord[3]);
             let mut emitted = 0;
             for dh in 0..kernel.0 {
                 for dw in 0..kernel.1 {
                     if emitted >= MAX_INNER {
-                        return;
+                        return emitted;
                     }
                     let ih = (oh * stride.0 + dh) as isize - padding.0 as isize;
                     let iw = (ow * stride.1 + dw) as isize - padding.1 as isize;
@@ -746,21 +782,20 @@ fn anchor_read_coords(
                     {
                         continue;
                     }
-                    out.push(vec![n, c0, ih as usize, iw as usize]);
+                    out.extend_from_slice(&[n, c0, ih as usize, iw as usize]);
                     emitted += 1;
                 }
             }
+            emitted
         }
         Op::Gather { axis } => {
+            let base = out.len();
+            clamp_broadcast(out_coord, decl_dims, out);
             if read.operand_idx == 0 {
                 let lin: u64 = out_coord.iter().fold(0u64, |acc, &c| acc * 31 + c as u64);
-                let row = (splitmix(lin) % decl_dims[*axis].max(1) as u64) as usize;
-                let mut c = clamp_broadcast(out_coord, decl_dims);
-                c[*axis] = row;
-                out.push(c);
-            } else {
-                out.push(clamp_broadcast(out_coord, decl_dims));
+                out[base + *axis] = (splitmix(lin) % decl_dims[*axis].max(1) as u64) as usize;
             }
+            1
         }
         Op::Concat { axis } => {
             let member = graph.node(read.member);
@@ -769,68 +804,86 @@ fn anchor_read_coords(
                 let extent = graph.tensor(input).shape.dim(*axis);
                 if i == read.operand_idx {
                     let pos = out_coord[*axis];
-                    if pos >= offset && pos < offset + extent {
-                        let mut c = out_coord.to_vec();
-                        c[*axis] = pos - offset;
-                        out.push(clamp_broadcast(&c, decl_dims));
+                    if pos < offset || pos >= offset + extent {
+                        return 0;
                     }
-                    return;
+                    // The output point shifted into this input along
+                    // `axis`, then broadcast-clamped.
+                    let base = out.len();
+                    clamp_broadcast(out_coord, decl_dims, out);
+                    let j = *axis as isize + decl_dims.len() as isize - out_coord.len() as isize;
+                    if let Some(&d) = usize::try_from(j).ok().and_then(|j| decl_dims.get(j)) {
+                        out[base + j as usize] = (pos - offset).min(d.saturating_sub(1));
+                    }
+                    return 1;
                 }
                 offset += extent;
             }
+            0
         }
         _ => {
-            let decl = match own_map {
-                Some(m) => m.eval(out_coord),
-                None => clamp_broadcast(out_coord, decl_dims),
-            };
-            out.push(decl);
+            match own_coord {
+                Some(c) => out.extend_from_slice(c),
+                None => clamp_broadcast(out_coord, decl_dims, out),
+            }
+            1
         }
     }
 }
 
-/// Coordinates covering the reduction space of normalization/reduction
-/// operators: non-reduced dims come from the output coordinate, reduced
-/// dims iterate (sampled).
+/// Appends the coordinates covering the reduction space of
+/// normalization/reduction operators to `out` and returns how many:
+/// non-reduced dims come from the output coordinate, reduced dims
+/// iterate (sampled).
 fn reduction_space_coords(
     out_coord: &[usize],
     decl_dims: &[usize],
     axes: &[usize],
-    out: &mut Vec<Vec<usize>>,
-) {
-    let keeps_rank = out_coord.len() == decl_dims.len();
-    let mut template = vec![0usize; decl_dims.len()];
-    if keeps_rank {
-        for (j, t) in template.iter_mut().enumerate() {
-            *t = out_coord[j].min(decl_dims[j] - 1);
-        }
+    out: &mut Vec<usize>,
+) -> usize {
+    let rank = decl_dims.len();
+    // The first row starts as the template; every step overwrites all
+    // reduced dims, so later rows copy it.
+    let base = out.len();
+    if out_coord.len() == rank {
+        out.extend(out_coord.iter().zip(decl_dims).map(|(&c, &d)| c.min(d - 1)));
     } else {
         let mut oi = 0;
-        for (j, t) in template.iter_mut().enumerate() {
+        for (j, &d) in decl_dims.iter().enumerate() {
             if axes.contains(&j) {
+                out.push(0);
                 continue;
             }
-            *t = out_coord.get(oi).copied().unwrap_or(0).min(decl_dims[j] - 1);
+            out.push(out_coord.get(oi).copied().unwrap_or(0).min(d - 1));
             oi += 1;
         }
     }
     let red_total: usize = axes.iter().map(|&a| decl_dims[a]).product();
-    for step in 0..red_total.min(MAX_INNER) {
-        let mut c = template.clone();
+    let steps = red_total.min(MAX_INNER);
+    for step in 0..steps {
+        let row = if step == 0 {
+            base
+        } else {
+            out.extend_from_within(base..base + rank);
+            out.len() - rank
+        };
         let mut rem = step;
         for &a in axes.iter().rev() {
-            c[a] = rem % decl_dims[a];
+            out[row + a] = rem % decl_dims[a];
             rem /= decl_dims[a];
         }
-        out.push(c);
     }
+    if steps == 0 {
+        out.truncate(base);
+    }
+    steps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{Framework, SmartMemConfig, SmartMemPipeline};
-    use smartmem_ir::{DType, GraphBuilder, UnaryKind};
+    use smartmem_ir::{DType, GraphBuilder, PoolKind, ReduceKind, UnaryKind};
 
     fn small_model() -> Graph {
         let mut b = GraphBuilder::new("small");
@@ -910,20 +963,30 @@ mod tests {
 
     #[test]
     fn sample_subvolume_bounds() {
-        let s = sample_subvolume(&[1000, 1000], 256);
-        assert!(s.len() <= 256);
-        assert!(!s.is_empty());
-        let s = sample_subvolume(&[2, 2], 256);
-        assert_eq!(s.len(), 4);
-        let s = sample_subvolume(&[], 16);
-        assert_eq!(s.len(), 1);
+        let (s, n) = sample_subvolume(&[1000, 1000], 256);
+        assert!(n <= 256);
+        assert!(n > 0);
+        assert_eq!(s.len(), 2 * n);
+        let (s, n) = sample_subvolume(&[2, 2], 256);
+        assert_eq!(n, 4);
+        assert_eq!(s, vec![0, 0, 0, 1, 1, 0, 1, 1]);
+        // A rank-0 space has one point, stored in zero values.
+        let (s, n) = sample_subvolume(&[], 16);
+        assert_eq!(n, 1);
+        assert!(s.is_empty());
     }
 
     #[test]
     fn clamp_broadcast_right_aligns() {
-        assert_eq!(clamp_broadcast(&[3, 5, 7], &[8, 8]), vec![5, 7]);
-        assert_eq!(clamp_broadcast(&[3, 5, 7], &[1, 8]), vec![0, 7]);
-        assert_eq!(clamp_broadcast(&[2], &[4, 4]), vec![0, 2]);
+        let clamp = |coord: &[usize], dims: &[usize]| {
+            let mut out = vec![9];
+            clamp_broadcast(coord, dims, &mut out);
+            out
+        };
+        assert_eq!(clamp(&[3, 5, 7], &[8, 8]), vec![9, 5, 7]);
+        assert_eq!(clamp(&[3, 5, 7], &[1, 8]), vec![9, 0, 7]);
+        assert_eq!(clamp(&[2], &[4, 4]), vec![9, 0, 2]);
+        assert_eq!(clamp(&[2], &[]), vec![9]);
     }
 
     #[test]
@@ -941,13 +1004,452 @@ mod tests {
     #[test]
     fn reduction_space_coords_cover_axes() {
         let mut out = Vec::new();
-        reduction_space_coords(&[2, 3], &[4, 8, 6], &[1], &mut out);
-        assert!(out.len() <= MAX_INNER);
-        for c in &out {
+        let n = reduction_space_coords(&[2, 3], &[4, 8, 6], &[1], &mut out);
+        assert!(n <= MAX_INNER);
+        assert_eq!(out.len(), 3 * n);
+        for c in out.chunks_exact(3) {
             assert_eq!(c[0], 2);
             assert_eq!(c[2], 3);
         }
-        let axis_vals: std::collections::HashSet<usize> = out.iter().map(|c| c[1]).collect();
+        let axis_vals: std::collections::HashSet<usize> =
+            out.chunks_exact(3).map(|c| c[1]).collect();
         assert!(axis_vals.len() > 1);
+    }
+
+    /// Asserts that every operand's drag from the flat trace is bit-equal
+    /// to the reference trace's, on every group `estimate` would trace
+    /// (one per distinct signature, as its memo does). Returns the
+    /// number of operands compared.
+    fn assert_trace_matches_reference(
+        opt: &OptimizedGraph,
+        device: &DeviceConfig,
+        what: &str,
+    ) -> usize {
+        let elem = device.dtype.size_bytes();
+        let mut traced = std::collections::HashSet::new();
+        let mut operands = 0;
+        for (gi, group) in opt.groups.iter().enumerate() {
+            if !traced.insert(group_signature(&opt.graph, group)) {
+                continue;
+            }
+            let own = own_pullback(&opt.graph, group);
+            let flat = trace_group(&opt.graph, group, own.as_ref(), device, elem);
+            let reference = reference::trace_group(&opt.graph, group, device, elem);
+            assert_eq!(flat.reads.len(), reference.reads.len(), "{what}: group {gi}");
+            for (ri, (a, b)) in flat.reads.iter().zip(&reference.reads).enumerate() {
+                assert_eq!(
+                    a.drag.to_bits(),
+                    b.drag.to_bits(),
+                    "{what}: group {gi} read {ri}: drag {} vs reference {}",
+                    a.drag,
+                    b.drag
+                );
+            }
+            assert_eq!(flat.write.drag.to_bits(), reference.write.drag.to_bits());
+            operands += flat.reads.len();
+        }
+        operands
+    }
+
+    fn ablation_configs() -> [(&'static str, SmartMemConfig); 4] {
+        [
+            ("dnnfusion_level", SmartMemConfig::dnnfusion_level()),
+            ("lte_level", SmartMemConfig::lte_level()),
+            ("layout_level", SmartMemConfig::layout_level()),
+            ("default", SmartMemConfig::default()),
+        ]
+    }
+
+    #[test]
+    fn flat_trace_matches_reference_on_random_graphs() {
+        let mut operands = 0;
+        for seed in 0..100u64 {
+            let g = smartmem_ir::generate::random_graph(seed);
+            operands += assert_matches_on_every_device(&g, &format!("seed {seed}"));
+        }
+        assert!(operands > 10_000, "only {operands} operands compared");
+    }
+
+    /// Every device profile, under every ablation config that compiles
+    /// `g`; returns the number of operands compared.
+    fn assert_matches_on_every_device(g: &Graph, what: &str) -> usize {
+        let devices = [
+            DeviceConfig::snapdragon_8gen2(),
+            DeviceConfig::snapdragon_835(),
+            DeviceConfig::dimensity_700(),
+            DeviceConfig::mali_g710(),
+            DeviceConfig::apple_m1(),
+            DeviceConfig::server_npu(),
+            DeviceConfig::tesla_v100(),
+        ];
+        let mut operands = 0;
+        for (name, config) in ablation_configs() {
+            let pipeline = SmartMemPipeline::with_config(config);
+            for device in &devices {
+                if let Ok(opt) = pipeline.optimize(g, device) {
+                    let what = format!("{what}, {name}, {}", device.name);
+                    operands += assert_trace_matches_reference(&opt, device, &what);
+                }
+            }
+        }
+        operands
+    }
+
+    #[test]
+    fn flat_trace_matches_reference_on_operators_the_zoo_samples_thinly() {
+        // Grouped strided padded conv, padded pool, instance norm, a
+        // concat along the innermost axis (the sampled window reaches
+        // the second input), a keep-rank and a rank-dropping reduce,
+        // a gather and a transposed matmul.
+        let mut b = GraphBuilder::new("coverage");
+        let x = b.input("x", &[1, 8, 12, 12], DType::F16);
+        let w = b.weight("w", &[16, 4, 3, 3], DType::F16);
+        let c = b.conv2d(x, w, (2, 2), (1, 1), 2);
+        let p = b.pool2d(c, PoolKind::Max, (3, 3), (1, 1), (1, 1));
+        let n = b.instance_norm(p);
+        let cat = b.concat(&[n, c], 3);
+        let r = b.reshape(cat, &[1, 16, 72]);
+        let t = b.transpose(r, &[0, 2, 1]);
+        let keep = b.reduce(t, ReduceKind::Mean, vec![2], true);
+        let scaled = b.mul(t, keep);
+        let drop = b.reduce(scaled, ReduceKind::Sum, vec![1], false);
+        let table = b.weight("table", &[64, 16], DType::F16);
+        let ids = b.input("ids", &[24], DType::I32);
+        let rows = b.gather(table, ids, 0);
+        let proj = b.weight("proj", &[16, 16], DType::F16);
+        let mm = b.matmul_t(rows, proj, false, true);
+        b.output(drop);
+        b.output(mm);
+        let g = b.finish();
+        assert!(assert_matches_on_every_device(&g, "coverage") > 0);
+    }
+
+    #[test]
+    fn flat_trace_matches_reference_on_swin_and_resnext() {
+        for model in ["Swin", "ResNext"] {
+            let g = smartmem_models::by_name(model).expect("model in the zoo").graph();
+            for device in [DeviceConfig::snapdragon_8gen2(), DeviceConfig::apple_m1()] {
+                for (name, config) in ablation_configs() {
+                    let opt = SmartMemPipeline::with_config(config).optimize(&g, &device).unwrap();
+                    let what = format!("{model}, {name}, {}", device.name);
+                    assert!(assert_trace_matches_reference(&opt, &device, &what) > 0);
+                }
+            }
+        }
+    }
+
+    /// The trace as it was before the flat buffers: one `Vec` per
+    /// coordinate, a per-coordinate `IndexMap::eval`, and `HashSet`
+    /// counting. Kept as the oracle of the equivalence tests above.
+    mod reference {
+        use super::super::*;
+        use std::collections::HashSet;
+
+        pub(super) fn trace_group(
+            graph: &Graph,
+            group: &KernelGroup,
+            device: &DeviceConfig,
+            elem: u64,
+        ) -> GroupTrace {
+            let anchor = graph.node(group.anchor);
+            let anchor_out = graph.tensor(anchor.outputs[0]).shape.clone();
+            let out_shape = graph.tensor(group.output).shape.clone();
+            let own_map = own_pullback(graph, group);
+
+            let anchor_samples = sample_subvolume(anchor_out.dims(), MAX_OUT_SAMPLES);
+            let out_samples = sample_subvolume(out_shape.dims(), MAX_OUT_SAMPLES);
+
+            let granule_bytes = |layout: &smartmem_ir::Layout| -> f64 {
+                match layout.memory_class() {
+                    MemoryClass::Buffer1D => device.buffer_cache.line_bytes as f64,
+                    MemoryClass::Texture2p5D => {
+                        (device.texture_tiling.tile_w * device.texture_tiling.tile_h * 4 * elem)
+                            as f64
+                    }
+                }
+            };
+            let max_drag =
+                |layout: &smartmem_ir::Layout| -> f64 { granule_bytes(layout) / elem as f64 };
+
+            let mut reads = Vec::with_capacity(group.reads.len());
+            let mut scratch = Vec::new();
+            for read in &group.reads {
+                let src_shape = graph.tensor(read.source).shape.clone();
+                let is_anchor_read = read.member == group.anchor;
+                let samples = if is_anchor_read { &anchor_samples } else { &out_samples };
+                let decl_dims = graph.tensor(read.logical).shape.dims().to_vec();
+                let mut elems: HashSet<u64> = HashSet::new();
+                let mut granules: HashSet<u64> = HashSet::new();
+                for coord in samples {
+                    scratch.clear();
+                    if is_anchor_read {
+                        anchor_read_coords(
+                            graph,
+                            &anchor.op,
+                            read,
+                            coord,
+                            &decl_dims,
+                            own_map.as_ref(),
+                            &mut scratch,
+                        );
+                    } else {
+                        scratch.push(clamp_broadcast(coord, &decl_dims));
+                    }
+                    for decl_coord in &scratch {
+                        let src_coord = match &read.map {
+                            None => decl_coord.clone(),
+                            Some(m) => m.eval(decl_coord),
+                        };
+                        let addr = read.layout.address(&src_shape, &src_coord);
+                        elems.insert(elem_key(addr));
+                        granules.insert(granule_key(addr, device, elem));
+                    }
+                }
+                let useful = (elems.len() as f64 * elem as f64).max(1.0);
+                let dragged = granules.len() as f64 * granule_bytes(&read.layout);
+                let drag = (dragged / useful).clamp(1.0, max_drag(&read.layout));
+                reads.push(EdgeTrace { drag });
+            }
+            GroupTrace { reads, write: EdgeTrace { drag: 1.0 } }
+        }
+
+        fn sample_subvolume(dims: &[usize], budget: usize) -> Vec<Vec<usize>> {
+            let mut window = vec![1usize; dims.len()];
+            let mut remaining = budget.max(1);
+            for i in (0..dims.len()).rev() {
+                let take = dims[i].min(remaining);
+                window[i] = take.max(1);
+                remaining = (remaining / window[i]).max(1);
+            }
+            let total: usize = window.iter().product();
+            let mut coords = Vec::with_capacity(total);
+            let mut c = vec![0usize; dims.len()];
+            for _ in 0..total {
+                coords.push(c.clone());
+                for d in (0..dims.len()).rev() {
+                    c[d] += 1;
+                    if c[d] < window[d] {
+                        break;
+                    }
+                    c[d] = 0;
+                }
+            }
+            coords
+        }
+
+        fn clamp_broadcast(coord: &[usize], decl_dims: &[usize]) -> Vec<usize> {
+            let shift = decl_dims.len() as isize - coord.len() as isize;
+            decl_dims
+                .iter()
+                .enumerate()
+                .map(|(j, &d)| {
+                    let ci = j as isize - shift;
+                    let c = if ci >= 0 { coord.get(ci as usize).copied().unwrap_or(0) } else { 0 };
+                    c.min(d.saturating_sub(1))
+                })
+                .collect()
+        }
+
+        fn anchor_read_coords(
+            graph: &Graph,
+            op: &Op,
+            read: &EdgeRead,
+            out_coord: &[usize],
+            decl_dims: &[usize],
+            own_map: Option<&IndexMap>,
+            out: &mut Vec<Vec<usize>>,
+        ) {
+            match op {
+                Op::Conv2d { stride, padding, groups } => {
+                    let member = graph.node(read.member);
+                    let w = graph.tensor(member.inputs[1]).shape.clone();
+                    let (cpg, kh, kw) = (w.dim(1), w.dim(2), w.dim(3));
+                    let (n, oc, oh, ow) = (out_coord[0], out_coord[1], out_coord[2], out_coord[3]);
+                    let o_per_g = w.dim(0) / groups;
+                    let g_idx = oc / o_per_g.max(1);
+                    let mut emitted = 0usize;
+                    'outer: for ic in 0..cpg {
+                        for dh in 0..kh {
+                            for dw in 0..kw {
+                                if emitted >= MAX_INNER {
+                                    break 'outer;
+                                }
+                                emitted += 1;
+                                match read.operand_idx {
+                                    0 => {
+                                        let ih = (oh * stride.0 + dh) as isize - padding.0 as isize;
+                                        let iw = (ow * stride.1 + dw) as isize - padding.1 as isize;
+                                        if ih < 0
+                                            || iw < 0
+                                            || ih as usize >= decl_dims[2]
+                                            || iw as usize >= decl_dims[3]
+                                        {
+                                            continue;
+                                        }
+                                        out.push(vec![
+                                            n,
+                                            g_idx * cpg + ic,
+                                            ih as usize,
+                                            iw as usize,
+                                        ]);
+                                    }
+                                    1 => out.push(vec![oc, ic, dh, dw]),
+                                    _ => {
+                                        out.push(vec![oc.min(decl_dims[0].saturating_sub(1))]);
+                                        break 'outer;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                Op::MatMul { trans_a, trans_b } => {
+                    let rank = decl_dims.len();
+                    let k_extent = match read.operand_idx {
+                        0 => {
+                            if *trans_a {
+                                decl_dims[rank - 2]
+                            } else {
+                                decl_dims[rank - 1]
+                            }
+                        }
+                        _ => {
+                            if *trans_b {
+                                decl_dims[rank - 1]
+                            } else {
+                                decl_dims[rank - 2]
+                            }
+                        }
+                    };
+                    let or = out_coord.len();
+                    let (m, n) = (out_coord[or - 2], out_coord[or - 1]);
+                    let batch = clamp_broadcast(&out_coord[..or - 2], &decl_dims[..rank - 2]);
+                    for k in 0..k_extent.min(MAX_INNER) {
+                        let mut c = batch.clone();
+                        match read.operand_idx {
+                            0 => {
+                                if *trans_a {
+                                    c.push(k);
+                                    c.push(m.min(decl_dims[rank - 1] - 1));
+                                } else {
+                                    c.push(m.min(decl_dims[rank - 2] - 1));
+                                    c.push(k);
+                                }
+                            }
+                            _ => {
+                                if *trans_b {
+                                    c.push(n.min(decl_dims[rank - 2] - 1));
+                                    c.push(k);
+                                } else {
+                                    c.push(k);
+                                    c.push(n.min(decl_dims[rank - 1] - 1));
+                                }
+                            }
+                        }
+                        out.push(c);
+                    }
+                }
+                Op::LayerNorm { axes } | Op::Reduce { axes, .. } => {
+                    reduction_space_coords(out_coord, decl_dims, axes, out);
+                }
+                Op::InstanceNorm => {
+                    reduction_space_coords(out_coord, decl_dims, &[2, 3], out);
+                }
+                Op::Softmax { axis } => {
+                    reduction_space_coords(out_coord, decl_dims, &[*axis], out);
+                }
+                Op::Pool2d { kernel, stride, padding, .. } => {
+                    let (n, c0, oh, ow) = (out_coord[0], out_coord[1], out_coord[2], out_coord[3]);
+                    let mut emitted = 0;
+                    for dh in 0..kernel.0 {
+                        for dw in 0..kernel.1 {
+                            if emitted >= MAX_INNER {
+                                return;
+                            }
+                            let ih = (oh * stride.0 + dh) as isize - padding.0 as isize;
+                            let iw = (ow * stride.1 + dw) as isize - padding.1 as isize;
+                            if ih < 0
+                                || iw < 0
+                                || ih as usize >= decl_dims[2]
+                                || iw as usize >= decl_dims[3]
+                            {
+                                continue;
+                            }
+                            out.push(vec![n, c0, ih as usize, iw as usize]);
+                            emitted += 1;
+                        }
+                    }
+                }
+                Op::Gather { axis } => {
+                    if read.operand_idx == 0 {
+                        let lin: u64 = out_coord.iter().fold(0u64, |acc, &c| acc * 31 + c as u64);
+                        let row = (splitmix(lin) % decl_dims[*axis].max(1) as u64) as usize;
+                        let mut c = clamp_broadcast(out_coord, decl_dims);
+                        c[*axis] = row;
+                        out.push(c);
+                    } else {
+                        out.push(clamp_broadcast(out_coord, decl_dims));
+                    }
+                }
+                Op::Concat { axis } => {
+                    let member = graph.node(read.member);
+                    let mut offset = 0usize;
+                    for (i, &input) in member.inputs.iter().enumerate() {
+                        let extent = graph.tensor(input).shape.dim(*axis);
+                        if i == read.operand_idx {
+                            let pos = out_coord[*axis];
+                            if pos >= offset && pos < offset + extent {
+                                let mut c = out_coord.to_vec();
+                                c[*axis] = pos - offset;
+                                out.push(clamp_broadcast(&c, decl_dims));
+                            }
+                            return;
+                        }
+                        offset += extent;
+                    }
+                }
+                _ => {
+                    let decl = match own_map {
+                        Some(m) => m.eval(out_coord),
+                        None => clamp_broadcast(out_coord, decl_dims),
+                    };
+                    out.push(decl);
+                }
+            }
+        }
+
+        fn reduction_space_coords(
+            out_coord: &[usize],
+            decl_dims: &[usize],
+            axes: &[usize],
+            out: &mut Vec<Vec<usize>>,
+        ) {
+            let keeps_rank = out_coord.len() == decl_dims.len();
+            let mut template = vec![0usize; decl_dims.len()];
+            if keeps_rank {
+                for (j, t) in template.iter_mut().enumerate() {
+                    *t = out_coord[j].min(decl_dims[j] - 1);
+                }
+            } else {
+                let mut oi = 0;
+                for (j, t) in template.iter_mut().enumerate() {
+                    if axes.contains(&j) {
+                        continue;
+                    }
+                    *t = out_coord.get(oi).copied().unwrap_or(0).min(decl_dims[j] - 1);
+                    oi += 1;
+                }
+            }
+            let red_total: usize = axes.iter().map(|&a| decl_dims[a]).product();
+            for step in 0..red_total.min(MAX_INNER) {
+                let mut c = template.clone();
+                let mut rem = step;
+                for &a in axes.iter().rev() {
+                    c[a] = rem % decl_dims[a];
+                    rem /= decl_dims[a];
+                }
+                out.push(c);
+            }
+        }
     }
 }

@@ -335,10 +335,27 @@ pub(crate) fn simplify_all(exprs: &[IndexExpr], extents: &[usize]) -> Vec<IndexE
     })
 }
 
-/// Evaluates every expression in `exprs` under one variable assignment
-/// with a single arena lock (the hot path of [`crate::IndexMap::eval`]).
-pub(crate) fn eval_all(exprs: &[IndexExpr], vars: &[i64]) -> Vec<i64> {
-    intern::with_read(|a| exprs.iter().map(|e| a.eval(e.id, vars)).collect())
+/// Evaluates every expression in `exprs` at `count` variable
+/// assignments stored back to back in `coords` (`rank` values each),
+/// appending the results clamped at zero to `out`. One arena lock
+/// covers the whole batch (the path behind [`crate::IndexMap::eval`]
+/// and [`crate::IndexMap::eval_batch`]).
+pub(crate) fn eval_batch(
+    exprs: &[IndexExpr],
+    coords: &[usize],
+    count: usize,
+    rank: usize,
+    out: &mut Vec<usize>,
+) {
+    intern::with_read(|a| {
+        let mut vars = vec![0i64; rank];
+        for i in 0..count {
+            for (v, &c) in vars.iter_mut().zip(&coords[i * rank..(i + 1) * rank]) {
+                *v = c as i64;
+            }
+            out.extend(exprs.iter().map(|e| a.eval(e.id, &vars).max(0) as usize));
+        }
+    })
 }
 
 /// Sums the costs of `exprs` with a single arena lock and a shared

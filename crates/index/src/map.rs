@@ -251,9 +251,25 @@ impl IndexMap {
     ///
     /// Panics if `coord` rank differs from the output rank.
     pub fn eval(&self, coord: &[usize]) -> Vec<usize> {
-        assert_eq!(coord.len(), self.out_extents.len(), "coordinate rank mismatch");
-        let vars: Vec<i64> = coord.iter().map(|&c| c as i64).collect();
-        expr::eval_all(&self.exprs, &vars).into_iter().map(|v| v.max(0) as usize).collect()
+        let mut out = Vec::with_capacity(self.exprs.len());
+        self.eval_batch(coord, 1, &mut out);
+        out
+    }
+
+    /// Evaluates the map at `count` output coordinates stored back to
+    /// back in `coords` (`out_rank` values each), appending the `count`
+    /// input coordinates (`in_rank` values each) to `out`. The arena
+    /// lock is taken once for the whole batch. `count` is explicit
+    /// because rank-0 coordinates take no values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords.len() != count * out_rank`.
+    pub fn eval_batch(&self, coords: &[usize], count: usize, out: &mut Vec<usize>) {
+        let rank = self.out_extents.len();
+        assert_eq!(coords.len(), count * rank, "coordinate rank mismatch");
+        out.reserve(count * self.exprs.len());
+        expr::eval_batch(&self.exprs, coords, count, rank, out);
     }
 
     /// Input extents (the producer tensor's shape).
@@ -473,6 +489,72 @@ mod tests {
         // Reshape [24] -> [4,6]: input dim merges two output vars.
         let m = IndexMap::reshape(&[24], &[4, 6]).simplify();
         assert_eq!(m.classify(), vec![DepKind::Merge]);
+    }
+
+    #[test]
+    fn eval_batch_matches_per_coordinate_eval() {
+        let r = IndexMap::reshape(&[2, 256, 4], &[16, 8, 4, 4]);
+        let t = IndexMap::transpose(&[16, 8, 4, 4], &[0, 2, 1, 3]);
+        let d2s = IndexMap::depth_to_space(&[2, 16, 4, 8], 2);
+        let flat = IndexMap::reshape(d2s.out_extents(), &[2, 32, 16]);
+        let maps = [
+            r.then(&t),
+            r.then(&t).simplify(),
+            d2s.then(&flat),
+            d2s.then(&flat).simplify(),
+            IndexMap::space_to_depth(&[1, 2, 4, 4], 2)
+                .then(&IndexMap::transpose(&[1, 8, 2, 2], &[0, 2, 3, 1])),
+        ];
+        for m in &maps {
+            let out = m.out_extents();
+            let count: usize = out.iter().product::<usize>().min(500);
+            let mut coords = Vec::new();
+            let mut c = vec![0usize; out.len()];
+            for _ in 0..count {
+                coords.extend_from_slice(&c);
+                for d in (0..out.len()).rev() {
+                    c[d] += 1;
+                    if c[d] < out[d] {
+                        break;
+                    }
+                    c[d] = 0;
+                }
+            }
+            let mut batch = vec![usize::MAX]; // appended to, never cleared
+            m.eval_batch(&coords, count, &mut batch);
+            assert_eq!(batch.len(), 1 + count * m.in_rank(), "{m}");
+            for (i, row) in batch[1..].chunks_exact(m.in_rank()).enumerate() {
+                let coord = &coords[i * out.len()..(i + 1) * out.len()];
+                assert_eq!(row, m.eval(coord), "{m} at {coord:?}");
+                // The component expressions evaluated one by one.
+                let vars: Vec<i64> = coord.iter().map(|&x| x as i64).collect();
+                let tree: Vec<usize> =
+                    m.exprs().iter().map(|e| e.eval(&vars).max(0) as usize).collect();
+                assert_eq!(row, tree, "{m} at {coord:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_batch_counts_rank_zero_coordinates() {
+        // A rank-0 output space: every coordinate is the empty slice,
+        // so the flat buffer is empty and only `count` says how many.
+        let m = IndexMap::reshape(&[1, 1], &[]);
+        assert_eq!(m.out_rank(), 0);
+        let mut out = Vec::new();
+        m.eval_batch(&[], 3, &mut out);
+        assert_eq!(out, vec![0; 6]);
+        assert_eq!(m.eval(&[]), vec![0, 0]);
+        let mut none = Vec::new();
+        m.eval_batch(&[], 0, &mut none);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate rank mismatch")]
+    fn eval_batch_checks_the_flat_length() {
+        let m = IndexMap::identity(&[2, 3]);
+        m.eval_batch(&[0, 1, 1], 2, &mut Vec::new());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! against the checked-in `bench/baseline.json` with a relative
 //! tolerance, failing the job on regression.
 //!
-//! The container is offline (no serde), so the writer and the parser
-//! here are hand-rolled for exactly this schema:
+//! Strings are quoted and files are parsed by `smartmem-json`, the
+//! stack's one JSON codec; values keep this format's own number
+//! spelling (a `.0` suffix on integers). The schema:
 //!
 //! ```json
 //! [
@@ -16,6 +17,7 @@
 //! ]
 //! ```
 
+use smartmem_json::{write_str, Json};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -63,34 +65,18 @@ impl BenchRecord {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders records as a stable, diff-friendly JSON array (one record
 /// per line, input order preserved).
 pub fn render_json(records: &[BenchRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"bench\": \"{}\", \"device\": \"{}\", \"metric\": \"{}\", \"value\": {}}}",
-            escape(&r.bench),
-            escape(&r.device),
-            escape(&r.metric),
-            fmt_value(r.value),
-        );
+        out.push_str("  {\"bench\": ");
+        write_str(&mut out, &r.bench);
+        out.push_str(", \"device\": ");
+        write_str(&mut out, &r.device);
+        out.push_str(", \"metric\": ");
+        write_str(&mut out, &r.metric);
+        let _ = write!(out, ", \"value\": {}}}", fmt_value(r.value));
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");
@@ -128,168 +114,33 @@ pub fn write_json(path: &Path, records: &[BenchRecord]) -> io::Result<()> {
     std::fs::write(path, render_json(records))
 }
 
-/// Minimal JSON parser for the bench-record schema: an array of flat
-/// objects whose values are strings or numbers. Unknown keys are
-/// ignored; anything structurally different is an error.
+/// Parses the bench-record schema: an array of objects whose `bench`,
+/// `device` and `metric` are strings and whose `value` is a number.
+/// Unknown keys are ignored, whatever their value; anything
+/// structurally different is an error.
 pub fn parse_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    p.expect(b'[')?;
-    let mut records = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.expect(b']')?;
-    } else {
-        loop {
-            records.push(p.object()?);
-            p.skip_ws();
-            match p.next()? {
-                b',' => p.skip_ws(),
-                b']' => break,
-                c => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, got '{}'",
-                        p.pos, c as char
-                    ))
-                }
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after the array at byte {}", p.pos));
-    }
-    Ok(records)
+    let root = smartmem_json::parse(text).map_err(|e| e.to_string())?;
+    let items = root.as_array().ok_or("bench JSON is an array of records")?;
+    items.iter().map(record).collect()
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+fn record(r: &Json) -> Result<BenchRecord, String> {
+    if !matches!(r, Json::Obj(_)) {
+        return Err("record is not an object".into());
     }
-
-    fn next(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next()? {
-            b if b == want => Ok(()),
-            b => Err(format!(
-                "expected '{}' at byte {}, got '{}'",
-                want as char, self.pos, b as char
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next()? as char;
-                            code = code * 16
-                                + d.to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u escape digit '{d}'"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    c => return Err(format!("unsupported escape '\\{}'", c as char)),
-                },
-                b if b < 0x80 => out.push(b as char),
-                b => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>().map_err(|e| format!("bad number '{text}': {e}"))
-    }
-
-    fn object(&mut self) -> Result<BenchRecord, String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        let (mut bench, mut device, mut metric, mut value) = (None, None, None, None);
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            match (key.as_str(), self.peek()) {
-                ("value", Some(b'n')) => {
-                    return Err("null value (non-finite measurement?) in record".into());
-                }
-                ("value", _) => value = Some(self.number()?),
-                ("bench", _) => bench = Some(self.string()?),
-                ("device", _) => device = Some(self.string()?),
-                ("metric", _) => metric = Some(self.string()?),
-                (_, Some(b'"')) => {
-                    self.string()?;
-                }
-                _ => {
-                    self.number()?;
-                }
-            }
-            self.skip_ws();
-            match self.next()? {
-                b',' => continue,
-                b'}' => break,
-                c => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got '{}'",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
-        Ok(BenchRecord {
-            bench: bench.ok_or("record missing \"bench\"")?,
-            device: device.ok_or("record missing \"device\"")?,
-            metric: metric.ok_or("record missing \"metric\"")?,
-            value: value.ok_or("record missing \"value\"")?,
-        })
-    }
+    let text = |k: &str| {
+        r.get(k)
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("record missing string \"{k}\""))
+    };
+    let (bench, device, metric) = (text("bench")?, text("device")?, text("metric")?);
+    let value = match r.get("value") {
+        Some(Json::Null) => return Err("null value (non-finite measurement?) in record".into()),
+        Some(v) => v.as_f64().ok_or("record \"value\" is not a number")?,
+        None => return Err("record missing \"value\"".into()),
+    };
+    Ok(BenchRecord { bench, device, metric, value })
 }
 
 #[cfg(test)]
@@ -320,8 +171,28 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_ignored() {
-        let text = r#"[{"bench": "b", "note": "extra", "device": "d", "metric": "m", "count": 3, "value": 1.5}]"#;
+        let text = r#"[{"bench": "b", "note": "extra", "device": "d", "metric": "m", "count": 3,
+            "ok": true, "note": null, "tags": ["x"], "meta": {"a": 1}, "value": 1.5}]"#;
         assert_eq!(parse_json(text).unwrap(), vec![BenchRecord::new("b", "d", "m", 1.5)]);
+        let null = r#"[{"bench": "b", "device": "d", "metric": "m", "value": null}]"#;
+        assert!(parse_json(null).unwrap_err().contains("non-finite"));
+    }
+
+    #[test]
+    fn render_bytes_are_pinned() {
+        let records = vec![
+            BenchRecord::new("fig11", "mali_g710", "Swin.latency_ms", 41.45),
+            BenchRecord::new("serve_bench", "pool", "throughput_rps", 1234.0),
+            BenchRecord::new("a\"b", "d", "m", 3.5e-20),
+        ];
+        let golden = concat!(
+            "[\n",
+            "  {\"bench\": \"fig11\", \"device\": \"mali_g710\", \"metric\": \"Swin.latency_ms\", \"value\": 41.45},\n",
+            "  {\"bench\": \"serve_bench\", \"device\": \"pool\", \"metric\": \"throughput_rps\", \"value\": 1234.0},\n",
+            "  {\"bench\": \"a\\\"b\", \"device\": \"d\", \"metric\": \"m\", \"value\": 0.000000000000000000035}\n",
+            "]\n",
+        );
+        assert_eq!(render_json(&records), golden);
     }
 
     #[test]

@@ -188,6 +188,12 @@ impl From<IrError> for ImportError {
     }
 }
 
+impl From<smartmem_json::JsonError> for ImportError {
+    fn from(e: smartmem_json::JsonError) -> Self {
+        ImportError::Parse { offset: e.offset, msg: e.msg }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,31 +9,14 @@
 //! CI smoke check consume trace files through it, and rendering is
 //! tested as an exact round trip.
 //!
-//! The container is offline (no serde), so the writer and the
-//! structural JSON parser here are hand-rolled, mirroring
-//! `smartmem-bench`'s flat bench-JSON codec.
+//! Strings are quoted and files are parsed by `smartmem-json`, the
+//! stack's one JSON codec; numbers keep this format's own spelling.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::trace::{SpanKind, SpanRecord, Trace, TraceId};
-use std::collections::BTreeMap;
+use smartmem_json::{write_str, Json};
 use std::fmt::Write as _;
-
-/// JSON-escapes `s` (quotes, backslashes, control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats a finite value so it round-trips through the parser exactly.
 fn fmt_value(v: f64) -> String {
@@ -60,11 +43,13 @@ pub fn render_chrome(trace: &Trace) -> String {
     let mut out = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {");
     let _ = write!(out, "\"dropped_spans\": {}}},\n\"traceEvents\": [\n", trace.dropped);
     for (i, s) in trace.spans.iter().enumerate() {
+        out.push_str("  {\"name\": ");
+        write_str(&mut out, &s.name);
+        out.push_str(", \"cat\": ");
+        write_str(&mut out, &s.cat);
         let _ = write!(
             out,
-            "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"{}\", \"ts\": {}, ",
-            escape(&s.name),
-            escape(&s.cat),
+            ", \"ph\": \"{}\", \"ts\": {}, ",
             match s.kind {
                 SpanKind::Complete => "X",
                 SpanKind::Instant => "i",
@@ -79,201 +64,15 @@ pub fn render_chrome(trace: &Trace) -> String {
         }
         let _ = write!(out, "\"pid\": 1, \"tid\": {}, \"args\": {{\"trace\": {}", s.tid, s.trace.0);
         for (k, v) in &s.args {
-            let _ = write!(out, ", \"{}\": {}", escape(k), fmt_value(*v));
+            out.push_str(", ");
+            write_str(&mut out, k);
+            let _ = write!(out, ": {}", fmt_value(*v));
         }
         out.push_str("}}");
         out.push_str(if i + 1 < trace.spans.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n}\n");
     out
-}
-
-// ---------------------------------------------------------------------
-// Structural JSON parsing (hand-rolled; the container has no serde).
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (just enough structure for trace files).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next()? {
-            b if b == want => Ok(()),
-            b => Err(format!(
-                "expected '{}' at byte {}, got '{}'",
-                want as char, self.pos, b as char
-            )),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        for want in text.bytes() {
-            self.expect(want)?;
-        }
-        Ok(value)
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek().ok_or("unexpected end of input")? {
-            b'n' => self.literal("null", Json::Null),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            _ => self.number(),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next()? as char;
-                            code = code * 16
-                                + d.to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u escape digit '{d}'"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    c => return Err(format!("unsupported escape '\\{}'", c as char)),
-                },
-                b if b < 0x80 => out.push(b as char),
-                b => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number '{text}': {e}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.next()? {
-                b',' => {}
-                b']' => return Ok(Json::Arr(items)),
-                c => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, got '{}'",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            fields.insert(key, self.value()?);
-            self.skip_ws();
-            match self.next()? {
-                b',' => {}
-                b'}' => return Ok(Json::Obj(fields)),
-                c => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got '{}'",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
-    }
 }
 
 /// Nanosecond count of a microsecond timestamp (inverse of the
@@ -285,7 +84,8 @@ fn ns(us: f64) -> u64 {
 /// Parses Chrome `trace_event` JSON back into a [`Trace`]. Accepts
 /// both the object form this crate renders and a bare event array;
 /// events with phases other than `X`/`i` are skipped (a foreign trace
-/// may carry metadata events).
+/// may carry metadata events). Span args keep their file order; a
+/// repeated key keeps its first value.
 ///
 /// # Errors
 ///
@@ -293,65 +93,58 @@ fn ns(us: f64) -> u64 {
 /// JSON, a missing `traceEvents` array, or an event without the
 /// required fields.
 pub fn parse_chrome(text: &str) -> Result<Trace, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after the trace at byte {}", p.pos));
-    }
+    let root = smartmem_json::parse(text).map_err(|e| e.to_string())?;
     let (events, dropped) = match &root {
-        Json::Arr(events) => (events, 0),
-        Json::Obj(fields) => {
-            let events = match fields.get("traceEvents") {
-                Some(Json::Arr(events)) => events,
-                _ => return Err("no \"traceEvents\" array in the trace object".into()),
-            };
-            let dropped = fields
+        Json::Arr(events) => (events.as_slice(), 0),
+        Json::Obj(_) => {
+            let events = root
+                .get("traceEvents")
+                .and_then(Json::as_array)
+                .ok_or("no \"traceEvents\" array in the trace object")?;
+            let dropped = root
                 .get("otherData")
-                .and_then(|o| match o {
-                    Json::Obj(f) => f.get("dropped_spans").and_then(Json::num),
-                    _ => None,
-                })
+                .and_then(|o| o.get("dropped_spans"))
+                .and_then(Json::as_f64)
                 .unwrap_or(0.0) as u64;
             (events, dropped)
         }
         _ => return Err("a trace is a JSON object or event array".into()),
     };
-    let mut trace = Trace { spans: Vec::new(), dropped };
+    let mut trace = Trace { spans: Vec::with_capacity(events.len()), dropped };
     for (i, ev) in events.iter().enumerate() {
-        let Json::Obj(f) = ev else { return Err(format!("event {i} is not an object")) };
-        let field = |k: &str| f.get(k).ok_or_else(|| format!("event {i} missing \"{k}\""));
-        let kind = match field("ph")?.str() {
+        if !matches!(ev, Json::Obj(_)) {
+            return Err(format!("event {i} is not an object"));
+        }
+        let field = |k: &str| ev.get(k).ok_or_else(|| format!("event {i} missing \"{k}\""));
+        let num = |k: &str| field(k)?.as_f64().ok_or_else(|| format!("event {i}: non-numeric {k}"));
+        let kind = match field("ph")?.as_str() {
             Some("X") => SpanKind::Complete,
             Some("i") | Some("I") => SpanKind::Instant,
             _ => continue, // metadata/counter events of foreign traces
         };
-        let mut trace_id = TraceId::NONE;
-        let mut args = Vec::new();
-        if let Some(Json::Obj(a)) = f.get("args") {
-            for (k, v) in a {
-                let Some(v) = v.num() else { continue };
+        let mut trace_id = None;
+        let mut args: Vec<(String, f64)> = Vec::new();
+        if let Some(Json::Obj(pairs)) = ev.get("args") {
+            for (k, v) in pairs {
+                let Some(v) = v.as_f64() else { continue };
                 if k == "trace" {
-                    trace_id = TraceId(v as u64);
-                } else {
+                    trace_id = trace_id.or(Some(TraceId(v as u64)));
+                } else if !args.iter().any(|(seen, _)| seen == k) {
                     args.push((k.clone(), v));
                 }
             }
         }
-        let dur = match kind {
-            SpanKind::Complete => {
-                ns(field("dur")?.num().ok_or_else(|| format!("event {i}: non-numeric dur"))?)
-            }
-            SpanKind::Instant => 0,
-        };
         trace.spans.push(SpanRecord {
-            name: field("name")?.str().ok_or_else(|| format!("event {i}: non-string name"))?.into(),
-            cat: f.get("cat").and_then(Json::str).unwrap_or_default().into(),
+            name: field("name")?
+                .as_str()
+                .ok_or_else(|| format!("event {i}: non-string name"))?
+                .into(),
+            cat: ev.get("cat").and_then(Json::as_str).unwrap_or_default().into(),
             kind,
-            trace: trace_id,
-            start_ns: ns(field("ts")?.num().ok_or_else(|| format!("event {i}: non-numeric ts"))?),
-            dur_ns: dur,
-            tid: f.get("tid").and_then(Json::num).unwrap_or(0.0) as u64,
+            trace: trace_id.unwrap_or(TraceId::NONE),
+            start_ns: ns(num("ts")?),
+            dur_ns: if kind == SpanKind::Complete { ns(num("dur")?) } else { 0 },
+            tid: ev.get("tid").and_then(Json::as_f64).unwrap_or(0.0) as u64,
             args,
         });
     }
@@ -395,6 +188,21 @@ mod tests {
                     tid: 2,
                     args: vec![("batch_size".into(), 4.0), ("cache_hit".into(), 1.0)],
                 },
+                SpanRecord {
+                    name: "job".into(),
+                    cat: "perfbench".into(),
+                    kind: SpanKind::Complete,
+                    trace: TraceId::NONE,
+                    start_ns: 200_000,
+                    dur_ns: 1_000,
+                    tid: 0,
+                    // Not key-sorted: the file order must survive parsing.
+                    args: vec![
+                        ("model".into(), 2.0),
+                        ("framework".into(), 5.0),
+                        ("device".into(), 0.5),
+                    ],
+                },
             ],
             dropped: 7,
         }
@@ -407,6 +215,35 @@ mod tests {
         let back = parse_chrome(&text).expect("rendered traces parse");
         assert_eq!(back.dropped, trace.dropped);
         assert_eq!(back.spans, trace.spans);
+    }
+
+    #[test]
+    fn render_bytes_are_pinned() {
+        let golden = concat!(
+            "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"dropped_spans\": 7},\n\"traceEvents\": [\n",
+            "  {\"name\": \"queue\", \"cat\": \"serve\", \"ph\": \"X\", \"ts\": 1.234, \"dur\": 50, ",
+            "\"pid\": 1, \"tid\": 2, \"args\": {\"trace\": 3, \"class\": 1}},\n",
+            "  {\"name\": \"cache_dir_fallback\", \"cat\": \"warn\", \"ph\": \"i\", \"ts\": 9, \"s\": \"t\", ",
+            "\"pid\": 1, \"tid\": 0, \"args\": {\"trace\": 0}},\n",
+            "  {\"name\": \"execute \\\"x\\\"\", \"cat\": \"serve\", \"ph\": \"X\", \"ts\": 60, \"dur\": 123.456, ",
+            "\"pid\": 1, \"tid\": 2, \"args\": {\"trace\": 3, \"batch_size\": 4, \"cache_hit\": 1}},\n",
+            "  {\"name\": \"job\", \"cat\": \"perfbench\", \"ph\": \"X\", \"ts\": 200, \"dur\": 1, ",
+            "\"pid\": 1, \"tid\": 0, \"args\": {\"trace\": 0, \"model\": 2, \"framework\": 5, \"device\": 0.5}}\n",
+            "]\n}\n",
+        );
+        assert_eq!(render_chrome(&sample()), golden);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        assert!(parse_chrome(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn foreign_string_escapes_decode() {
+        let text = r#"[{"name": "a\r\b\f \ud83d\ude00", "ph": "X", "ts": 0, "dur": 1}]"#;
+        let trace = parse_chrome(text).unwrap();
+        assert_eq!(trace.spans[0].name, "a\r\u{8}\u{c} 😀");
     }
 
     #[test]

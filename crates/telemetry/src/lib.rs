@@ -24,7 +24,8 @@
 //! serving benchmark measures the remaining overhead and the CI gate
 //! (`telemetry_overhead_pct` in `bench/baseline.json`) keeps it small.
 //!
-//! Everything is `std`-only — the container builds offline.
+//! Everything is `std`-only: the one dependency, `smartmem-json` (the
+//! stack's JSON codec), is a std-only leaf crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

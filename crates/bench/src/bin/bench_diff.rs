@@ -5,7 +5,7 @@
 //! metric regresses beyond the tolerance:
 //!
 //! ```text
-//! bench_diff --baseline bench/baseline.json [--tolerance 0.15] current.json...
+//! bench_diff --baseline bench/baseline.json current.json...
 //! ```
 //!
 //! Rules:
@@ -19,7 +19,7 @@
 //! * Direction comes from the metric name
 //!   (`BenchRecord::higher_is_better`): throughput/rate/speedup-style
 //!   metrics must not drop, everything else (latencies, bad-event
-//!   counts) must not rise, each by more than `--tolerance` relative
+//!   counts) must not rise, each by more than `TOLERANCE` (15%) relative
 //!   (absolute slack 1e-9 for zero-valued baselines).
 //! * A baselined metric missing from the current runs fails the gate —
 //!   silently dropping a bench is itself a regression.
@@ -27,60 +27,33 @@
 //!   hint to re-baseline so the gate keeps teeth.
 
 use smartmem_bench::json::{parse_json, BenchRecord};
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-struct Opts {
-    baseline: PathBuf,
-    tolerance: f64,
-    current: Vec<PathBuf>,
-}
+/// The relative change, either way, beyond which a baselined metric
+/// counts as regressed (or improved).
+const TOLERANCE: f64 = 0.15;
 
-fn parse_args() -> Opts {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = argv.iter();
-    let mut baseline = None;
-    let mut tolerance = 0.15;
-    let mut current = Vec::new();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--baseline" => {
-                baseline = Some(PathBuf::from(args.next().expect("--baseline needs a value")));
-            }
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .expect("--tolerance needs a value")
-                    .parse()
-                    .expect("--tolerance must be a number");
-                assert!(tolerance >= 0.0, "--tolerance must be non-negative");
-            }
-            path => current.push(PathBuf::from(path)),
-        }
-    }
-    Opts {
-        baseline: baseline.expect("usage: bench_diff --baseline FILE [--tolerance T] CURRENT..."),
-        tolerance,
-        current,
-    }
-}
-
-fn load(path: &PathBuf) -> Vec<BenchRecord> {
+fn load(path: &Path) -> Vec<BenchRecord> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     parse_json(&text).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
-    assert!(!opts.current.is_empty(), "give at least one current bench-JSON file");
-    let baseline = load(&opts.baseline);
+    let mut args = Args::from_env();
+    let baseline_path: Option<PathBuf> = args.value("--baseline");
+    let current_paths = args.positionals();
+    args.finish();
+    let baseline_path = baseline_path.expect("usage: bench_diff --baseline FILE CURRENT...");
+    assert!(!current_paths.is_empty(), "give at least one current bench-JSON file");
+    let baseline = load(&baseline_path);
     let mut current: BTreeMap<String, f64> = BTreeMap::new();
     let mut current_count = 0usize;
-    for path in &opts.current {
-        for r in load(path) {
+    for path in &current_paths {
+        for r in load(Path::new(path)) {
             if current.insert(r.key(), r.value).is_some() {
                 panic!("duplicate record {} across current files", r.key());
             }
@@ -104,16 +77,16 @@ fn main() -> ExitCode {
                 let denom = base.value.abs().max(1e-9);
                 let delta = (cur - base.value) / denom;
                 let bad = if base.higher_is_better() { -delta } else { delta };
-                if bad > opts.tolerance {
+                if bad > TOLERANCE {
                     regressions.push(format!(
                         "{key}: {} -> {} ({:+.1}%, tolerance ±{:.0}%)",
                         base.value,
                         cur,
                         delta * 100.0,
-                        opts.tolerance * 100.0
+                        TOLERANCE * 100.0
                     ));
                     ("REGRESSED".to_string(), delta * 100.0)
-                } else if -bad > opts.tolerance {
+                } else if -bad > TOLERANCE {
                     improvements += 1;
                     ("improved".to_string(), delta * 100.0)
                 } else {
@@ -134,8 +107,8 @@ fn main() -> ExitCode {
         render_table(
             &format!(
                 "bench_diff vs {} (±{:.0}% tolerance)",
-                opts.baseline.display(),
-                opts.tolerance * 100.0
+                baseline_path.display(),
+                TOLERANCE * 100.0
             ),
             &["metric", "baseline", "current", "delta", "status"],
             &rows,

@@ -1,15 +1,21 @@
 //! Diagnostic: prints the most expensive kernel groups of one model
 //! under one framework, with the latency decomposition.
 //!
-//! Usage: `cargo run -p smartmem-bench --release --bin debug_groups <model> <framework>`
+//! Usage: `cargo run -p smartmem-bench --release --bin debug_groups [model] [framework]`
+//! (defaults: Swin under SmartMem)
 
 use smartmem_baselines::all_mobile_frameworks;
+use smartmem_bench::Args;
 use smartmem_models::by_name;
 use smartmem_sim::DeviceConfig;
 
 fn main() {
-    let model = std::env::args().nth(1).unwrap_or_else(|| "Swin".into());
-    let fw_name = std::env::args().nth(2).unwrap_or_else(|| "SmartMem".into());
+    let mut args = Args::from_env();
+    let mut positionals = args.positionals().into_iter();
+    args.finish();
+    let model = positionals.next().unwrap_or_else(|| "Swin".into());
+    let fw_name = positionals.next().unwrap_or_else(|| "SmartMem".into());
+    assert!(positionals.next().is_none(), "usage: debug_groups [model] [framework]");
     let device = DeviceConfig::snapdragon_8gen2();
     let entry = by_name(&model).expect("unknown model");
     let graph = entry.graph();

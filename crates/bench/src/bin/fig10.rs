@@ -4,12 +4,13 @@
 //! out at large batches for lack of memory.
 
 use smartmem_baselines::{DnnFusionFramework, MnnFramework, TvmFramework};
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemPipeline};
 use smartmem_models::swin_tiny;
 use smartmem_sim::DeviceConfig;
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let frameworks: Vec<Box<dyn Framework>> = vec![
         Box::new(MnnFramework::new()),

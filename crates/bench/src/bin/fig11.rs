@@ -17,10 +17,11 @@
 
 use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
-use smartmem_bench::{parse_bench_args, render_table, SMOKE_MODELS};
+use smartmem_bench::{render_table, Args, SMOKE_MODELS};
 use smartmem_core::{Framework, SmartMemPipeline};
 use smartmem_models::by_name;
 use smartmem_sim::DeviceConfig;
+use std::path::PathBuf;
 
 /// The seven-device portability pool.
 fn devices() -> Vec<DeviceConfig> {
@@ -36,9 +37,11 @@ fn devices() -> Vec<DeviceConfig> {
 }
 
 fn main() {
-    let args = parse_bench_args();
-    assert!(args.cache_dir.is_none(), "fig11 takes --smoke and --json only");
-    let models: &[&str] = if args.smoke {
+    let mut args = Args::from_env();
+    let smoke = args.flag("--smoke");
+    let json: Option<PathBuf> = args.value("--json");
+    args.finish();
+    let models: &[&str] = if smoke {
         SMOKE_MODELS
     } else {
         &["CSwin", "FlattenFormer", "SMTFormer", "Swin", "ViT", "ConvNext", "ResNext", "Yolo-V8"]
@@ -98,7 +101,7 @@ fn main() {
     // but compression must never lose.
     let mali_on = DeviceConfig::mali_g710();
     let mali_off = mali_on.clone().with_afbc(false);
-    let ab_models: &[&str] = if args.smoke {
+    let ab_models: &[&str] = if smoke {
         &["RegNet", "EfficientVit"]
     } else {
         &["RegNet", "EfficientVit", "ResNext", "Yolo-V8", "Swin"]
@@ -142,7 +145,7 @@ fn main() {
     );
     println!("\nAFBC A/B OK: best gain {:.3}x on {}", best.1, best.0);
 
-    if let Some(path) = &args.json {
+    if let Some(path) = &json {
         write_json(path, &records).expect("write --json output");
         println!("wrote {} records to {}", records.len(), path.display());
     }

@@ -3,12 +3,13 @@
 //! Paper: 149/204/271/360 GMACS, i.e. 24–35% of the texture-memory
 //! roof at each model's intensity.
 
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemPipeline};
 use smartmem_models::by_name;
 use smartmem_sim::{roofline_gmacs, DeviceConfig};
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     println!(
         "device: peak {:.1} TMACs/s, global BW {:.0} GB/s, texture BW {:.0} GB/s",

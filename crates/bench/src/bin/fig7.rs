@@ -4,11 +4,12 @@
 //! average).
 
 use smartmem_baselines::all_mobile_frameworks;
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_models::{cswin, resnext50};
 use smartmem_sim::DeviceConfig;
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let frameworks = all_mobile_frameworks();
     for (name, graph) in [("CSwin", cswin(1)), ("ResNext", resnext50(1))] {

@@ -8,12 +8,13 @@
 //! +Other 1.2–1.4x; ConvNets: 1.1–1.4x / 1.5–1.7x / 1.1–1.4x; index
 //! comprehension contributes 1.1–1.3x of LTE's gain.
 
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemConfig, SmartMemPipeline};
 use smartmem_models::by_name;
 use smartmem_sim::DeviceConfig;
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let models =
         ["AutoFormer", "BiFormer", "EfficientVit", "CSwin", "ViT", "ConvNext", "RegNet", "ResNext"];

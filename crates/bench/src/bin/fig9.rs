@@ -4,12 +4,13 @@
 //! Layout Selecting mostly reduces *cache misses* (better access
 //! patterns).
 
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemConfig, SmartMemPipeline};
 use smartmem_models::{cswin, resnext50};
 use smartmem_sim::DeviceConfig;
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     for (name, graph) in [("CSwin", cswin(1)), ("ResNext", resnext50(1))] {
         let levels = [

@@ -5,7 +5,7 @@
 //! 1.7x (Conv), 1.4x (MatMul), 1.1x (Activation) — the basis for
 //! SmartMem's "force the producer to match the consumer" heuristic.
 
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemConfig, SmartMemPipeline};
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_sim::DeviceConfig;
@@ -34,6 +34,7 @@ fn chain(consumer: &str) -> Graph {
 }
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let mut rows = Vec::new();
     for (consumer, paper) in [("Conv", 1.7), ("MatMul", 1.4), ("Activation", 1.1)] {

@@ -19,11 +19,12 @@
 
 use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
-use smartmem_bench::{parse_bench_args, render_pass_timings, render_table, SMOKE_MODELS};
+use smartmem_bench::{render_pass_timings, render_table, Args, SMOKE_MODELS};
 use smartmem_core::{eliminate_with_options, CompileSession, Framework, SmartMemPipeline};
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_models::{all_models, by_name};
 use smartmem_sim::DeviceConfig;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// A 12-block MLP stack with a distinct width per block (so every
@@ -45,11 +46,17 @@ fn edit_demo_model(edited: bool) -> Graph {
 }
 
 fn main() {
-    let args = parse_bench_args();
-    let cache_dir = args.cache_dir;
+    let mut args = Args::from_env();
+    let cache_dir: Option<PathBuf> = args.value("--cache-dir");
+    let json: Option<PathBuf> = args.value("--json");
+    let smoke = args.flag("--smoke");
+    let import: Option<PathBuf> = args.value("--import");
+    args.finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let frameworks = all_mobile_frameworks();
     let mut records: Vec<BenchRecord> = Vec::new();
+    let rec =
+        |metric: &str, value: f64| BenchRecord::new("pass_timing", device.slug(), metric, value);
 
     // 1b (run first). The LTE compile-time hot spot: composition +
     // strength reduction, before/after the composition memo (results
@@ -66,12 +73,7 @@ fn main() {
         if !memoize {
             // The true cold strength-reduction cost (memo disabled) —
             // the regression gate for the index-interning layer.
-            records.push(BenchRecord::new(
-                "pass_timing",
-                device.slug(),
-                "lte_simplify_ms",
-                us / 1e3,
-            ));
+            records.push(rec("lte_simplify_ms", us / 1e3));
         }
         rows.push(vec![label.to_string(), format!("{us:.0}"), format!("{}", r.eliminated.len())]);
     }
@@ -115,25 +117,15 @@ fn main() {
             "\nstreamline on Swin-T: {} ops removed net, {} transposes cancelled/absorbed",
             s.streamline_removed_ops, s.streamline_transposes_removed,
         );
-        records.push(BenchRecord::new(
-            "pass_timing",
-            device.slug(),
-            "streamline_removed_ops",
-            s.streamline_removed_ops as f64,
-        ));
-        records.push(BenchRecord::new(
-            "pass_timing",
-            device.slug(),
-            "streamline_transposes_removed",
-            s.streamline_transposes_removed as f64,
-        ));
+        records.push(rec("streamline_removed_ops", s.streamline_removed_ops as f64));
+        records.push(rec("streamline_transposes_removed", s.streamline_transposes_removed as f64));
     }
 
     // 1d. `--import FILE`: run a graph from the JSON interchange format
     // (`smartmem_ir::import`) through the SmartMem pipeline and show
     // what the streamline family did to it, pass by pass. This is the
     // CLI window onto the same machinery the fixture snapshots pin.
-    if let Some(path) = &args.import {
+    if let Some(path) = &import {
         let src = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("--import {}: {e}", path.display()));
         let graph = smartmem_ir::import::import_json(&src)
@@ -175,13 +167,8 @@ fn main() {
             "\nedit-one-layer recompile: cold {cold_ms:.2} ms, incremental {incr_ms:.2} ms ({} group hits / {} group misses)",
             stats.group_hits, stats.group_misses,
         );
-        records.push(BenchRecord::new("pass_timing", device.slug(), "compile_cold_ms", cold_ms));
-        records.push(BenchRecord::new(
-            "pass_timing",
-            device.slug(),
-            "compile_incremental_ms",
-            incr_ms,
-        ));
+        records.push(rec("compile_cold_ms", cold_ms));
+        records.push(rec("compile_incremental_ms", incr_ms));
     }
 
     // 2. Parallel compile of the whole zoo across all frameworks —
@@ -190,7 +177,7 @@ fn main() {
         Some(dir) => CompileSession::with_cache_dir(dir).expect("open cache dir"),
         None => CompileSession::new(),
     };
-    let entries = if args.smoke {
+    let entries = if smoke {
         SMOKE_MODELS.iter().map(|name| by_name(name).expect("smoke model in the zoo")).collect()
     } else {
         all_models()
@@ -207,10 +194,8 @@ fn main() {
             cells.push(match res {
                 Ok(out) => {
                     let ms = out.total_duration().as_secs_f64() * 1e3;
-                    records.push(BenchRecord::new(
-                        "pass_timing",
-                        device.slug(),
-                        format!("{}.{}.compile_ms", entry.name, fw.name().to_ascii_lowercase()),
+                    records.push(rec(
+                        &format!("{}.{}.compile_ms", entry.name, fw.name().to_ascii_lowercase()),
                         ms,
                     ));
                     format!("{ms:.1}")
@@ -254,19 +239,9 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.json {
-        records.push(BenchRecord::new(
-            "pass_timing",
-            device.slug(),
-            "zoo_cold_compile_ms",
-            cold.as_secs_f64() * 1e3,
-        ));
-        records.push(BenchRecord::new(
-            "pass_timing",
-            device.slug(),
-            "zoo_warm_compile_ms",
-            warm.as_secs_f64() * 1e3,
-        ));
+    if let Some(path) = &json {
+        records.push(rec("zoo_cold_compile_ms", cold.as_secs_f64() * 1e3));
+        records.push(rec("zoo_warm_compile_ms", warm.as_secs_f64() * 1e3));
         write_json(path, &records).expect("write --json output");
         println!("wrote {} records to {}", records.len(), path.display());
     }

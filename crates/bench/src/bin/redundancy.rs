@@ -5,12 +5,13 @@
 //! count −24% / −33%; memory −14% / −15%.
 
 use smartmem_baselines::DnnFusionFramework;
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemPipeline};
 use smartmem_models::{swin_tiny, vit};
 use smartmem_sim::DeviceConfig;
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let dnnf = DnnFusionFramework::new();
     let ours = SmartMemPipeline::new();

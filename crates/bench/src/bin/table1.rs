@@ -4,12 +4,13 @@
 //! time in layout transformations).
 
 use smartmem_baselines::MnnFramework;
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::Framework;
 use smartmem_models::table1_models;
 use smartmem_sim::DeviceConfig;
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let mnn = MnnFramework::new();
     let mut rows = Vec::new();

@@ -3,12 +3,13 @@
 //! them (the paper cites a 3.5x conv latency reduction from texture
 //! memory).
 
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemConfig, SmartMemPipeline};
 use smartmem_ir::{DType, GraphBuilder, UnaryKind};
 use smartmem_sim::{CacheConfig, CacheSim, DeviceConfig};
 
 fn main() {
+    Args::from_env().finish();
     // Qualitative half of Table 2.
     let rows = vec![
         vec!["Computation acceleration engine".into(), "N".into(), "Y".into()],

@@ -7,13 +7,16 @@
 //! regenerates the table without a single cold compile.
 
 use smartmem_baselines::all_mobile_frameworks;
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::CompileSession;
 use smartmem_models::all_models;
 use smartmem_sim::DeviceConfig;
+use std::path::PathBuf;
 
 fn main() {
-    let cache_dir = smartmem_bench::parse_cache_dir_arg();
+    let mut args = Args::from_env();
+    let cache_dir: Option<PathBuf> = args.value("--cache-dir");
+    args.finish();
     let device = DeviceConfig::snapdragon_8gen2();
     let frameworks = all_mobile_frameworks();
     // All framework x model compilations run in parallel through one

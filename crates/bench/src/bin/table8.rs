@@ -5,26 +5,28 @@
 //! Usage: `cargo run -p smartmem-bench --release --bin table8 [model-filter]`
 
 use smartmem_baselines::all_mobile_frameworks;
-use smartmem_bench::{geo_mean, latency_cell, render_table, run_one, speed_cell, RunResult};
+use smartmem_bench::{geo_mean, latency_cell, render_table, speed_cell, Args, RunResult};
 use smartmem_models::all_models;
 use smartmem_sim::DeviceConfig;
 
 fn main() {
-    let filter = std::env::args().nth(1);
+    let mut args = Args::from_env();
+    let filter = args.positionals();
+    args.finish();
+    assert!(filter.len() <= 1, "usage: table8 [model-filter]");
     let device = DeviceConfig::snapdragon_8gen2();
     let frameworks = all_mobile_frameworks();
     let mut rows = Vec::new();
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); frameworks.len()];
 
     for m in all_models() {
-        if let Some(f) = &filter {
+        if let Some(f) = filter.first() {
             if !m.name.to_lowercase().contains(&f.to_lowercase()) {
                 continue;
             }
         }
         let graph = m.graph();
-        let results: Vec<RunResult> =
-            frameworks.iter().map(|fw| run_one(fw.as_ref(), &graph, &device)).collect();
+        let results: Vec<RunResult> = frameworks.iter().map(|fw| fw.run(&graph, &device)).collect();
         let ours = results.last().expect("smartmem column").as_ref().ok().map(|r| r.latency_ms);
         let mut row = vec![m.name.to_string(), format!("{:.1}", graph.total_macs() as f64 / 1e9)];
         for r in &results {

@@ -4,12 +4,13 @@
 //! AutoFormer. Paper: 1.23x and 1.11x.
 
 use smartmem_baselines::TorchInductorFramework;
-use smartmem_bench::render_table;
+use smartmem_bench::{render_table, Args};
 use smartmem_core::{Framework, SmartMemPipeline};
 use smartmem_models::{autoformer, swin_tiny};
 use smartmem_sim::DeviceConfig;
 
 fn main() {
+    Args::from_env().finish();
     let device = DeviceConfig::tesla_v100();
     let inductor = TorchInductorFramework::new();
     let ours = SmartMemPipeline::new(); // no texture on this device

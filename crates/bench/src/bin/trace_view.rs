@@ -14,28 +14,16 @@
 //! Chrome JSON *and* carrying whole request lifecycles), not just
 //! nonempty.
 
+use smartmem_bench::Args;
 use smartmem_telemetry::{parse_chrome, summarize};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<String> = None;
-    let mut expect_requests: Option<u64> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--expect-requests" => {
-                let v = args.next().expect("--expect-requests needs a value");
-                expect_requests = Some(v.parse().expect("--expect-requests takes an integer"));
-            }
-            flag if flag.starts_with("--") => panic!("unknown flag {flag}"),
-            file => {
-                assert!(path.is_none(), "exactly one trace file expected, got a second: {file}");
-                path = Some(file.to_string());
-            }
-        }
-    }
-    let path = path.expect("usage: trace_view TRACE.json [--expect-requests N]");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let mut args = Args::from_env();
+    let expect_requests: Option<u64> = args.value("--expect-requests");
+    let files = args.positionals();
+    args.finish();
+    let [path] = &files[..] else { panic!("usage: trace_view TRACE.json [--expect-requests N]") };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let trace = parse_chrome(&text).unwrap_or_else(|e| panic!("{path} is not a Chrome trace: {e}"));
     let summary = summarize(&trace);
     println!("trace_view: {path} ({} spans)", trace.spans.len());

@@ -10,9 +10,9 @@
 
 pub mod json;
 
-use smartmem_core::{CompileOutput, Framework, ModelReport, OptStats, Unsupported};
-use smartmem_ir::Graph;
-use smartmem_sim::DeviceConfig;
+use smartmem_core::{CompileOutput, ModelReport, OptStats, Unsupported};
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Renders an ASCII table with right-aligned columns.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -48,12 +48,6 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
 
 /// Result of running one framework on one model.
 pub type RunResult = Result<ModelReport, Unsupported>;
-
-/// Runs `framework` on `graph`, returning the report or the
-/// unsupported/OOM error.
-pub fn run_one(framework: &dyn Framework, graph: &Graph, device: &DeviceConfig) -> RunResult {
-    framework.run(graph, device)
-}
 
 /// Formats a latency cell ("–" for unsupported models, as in the
 /// paper's tables).
@@ -120,72 +114,91 @@ pub fn render_pass_timings(framework: &str, model: &str, output: &CompileOutput)
     )
 }
 
-/// Parses a command line that accepts only `--cache-dir DIR` (the
-/// shared flag of the table/figure binaries; `serve_bench` has its own
-/// richer parser), panicking on anything else.
-///
-/// # Panics
-///
-/// Panics on an unknown flag or a missing value — the right behaviour
-/// for a bench binary, where a typo should fail loudly.
-pub fn parse_cache_dir_arg() -> Option<std::path::PathBuf> {
-    let args = parse_bench_args();
-    assert!(
-        args.json.is_none() && !args.smoke && args.import.is_none(),
-        "this binary only takes --cache-dir DIR"
-    );
-    args.cache_dir
-}
-
 /// The models a `--smoke` run covers, where a binary's full run walks
 /// a larger part of the zoo.
 pub const SMOKE_MODELS: &[&str] = &["Swin", "ResNext"];
 
-/// The shared command line of the table/figure binaries.
-#[derive(Clone, Debug, Default)]
-pub struct BenchArgs {
-    /// `--cache-dir DIR`: persistent compilation-artifact cache.
-    pub cache_dir: Option<std::path::PathBuf>,
-    /// `--json PATH`: write the bench's numbers as a flat JSON record
-    /// array (see [`json`]) for CI artifacts and the `bench_diff` gate.
-    pub json: Option<std::path::PathBuf>,
-    /// `--smoke`: CI-sized subset.
-    pub smoke: bool,
-    /// `--import PATH`: run on a graph imported from a JSON file
-    /// (`smartmem_ir::import`) instead of / in addition to the built-in
-    /// zoo. Only `pass_timing` honours it today.
-    pub import: Option<std::path::PathBuf>,
-}
-
-/// Parses `--cache-dir DIR`, `--json PATH`, `--import PATH` and `--smoke`.
+/// The one command-line parser of the bench binaries.
+///
+/// A binary takes the flags it honours, then calls [`Args::finish`]
+/// before it does any work, so a stray or misspelt argument fails the
+/// run instead of being ignored:
+///
+/// ```
+/// use smartmem_bench::Args;
+/// use std::path::PathBuf;
+///
+/// let mut args = Args::new(["--smoke", "--json", "out.json"].map(String::from));
+/// assert!(args.flag("--smoke"));
+/// assert_eq!(args.value::<PathBuf>("--json"), Some(PathBuf::from("out.json")));
+/// args.finish();
+/// ```
+///
+/// Flags take at most one value (`--json PATH`); a value never starts
+/// with `--`.
 ///
 /// # Panics
 ///
-/// Panics on an unknown flag or a missing value.
-pub fn parse_bench_args() -> BenchArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = argv.iter();
-    let mut out = BenchArgs::default();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--cache-dir" => {
-                out.cache_dir = Some(args.next().expect("--cache-dir needs a value").into());
-            }
-            "--json" => {
-                out.json = Some(args.next().expect("--json needs a value").into());
-            }
-            "--smoke" => out.smoke = true,
-            "--import" => {
-                out.import = Some(args.next().expect("--import needs a value").into());
-            }
-            other => {
-                panic!(
-                    "unknown flag {other} (takes --cache-dir DIR, --json PATH, --import PATH, --smoke)"
-                )
-            }
-        }
+/// Every method panics on a malformed command line: an unknown or
+/// repeated flag, a missing or unparsable value. That is the right
+/// behaviour for a bench binary, where a typo should fail loudly.
+#[derive(Debug)]
+pub struct Args {
+    /// The arguments not taken yet, in command-line order.
+    rest: Vec<String>,
+}
+
+impl Args {
+    /// Wraps `argv`, the arguments after the program name.
+    pub fn new(argv: impl IntoIterator<Item = String>) -> Self {
+        Args { rest: argv.into_iter().collect() }
     }
-    out
+
+    /// This process's arguments.
+    pub fn from_env() -> Self {
+        Args::new(std::env::args().skip(1))
+    }
+
+    /// Takes `name` and returns its index, if given.
+    fn take(&mut self, name: &str) -> Option<usize> {
+        let mut at = self.rest.iter().enumerate().filter(|(_, a)| *a == name).map(|(i, _)| i);
+        let first = at.next()?;
+        assert!(at.next().is_none(), "{name} given more than once");
+        self.rest.remove(first);
+        Some(first)
+    }
+
+    /// Whether the switch `name` (e.g. `--smoke`) was given.
+    pub fn flag(&mut self, name: &str) -> bool {
+        self.take(name).is_some()
+    }
+
+    /// The value of `name` (e.g. `--seed 7`), parsed as a `T`, if given.
+    pub fn value<T: FromStr>(&mut self, name: &str) -> Option<T>
+    where
+        T::Err: Display,
+    {
+        let at = self.take(name)?;
+        let raw = match self.rest.get(at) {
+            Some(v) if !v.starts_with("--") => self.rest.remove(at),
+            _ => panic!("{name} needs a value"),
+        };
+        Some(raw.parse().unwrap_or_else(|e| panic!("{name}: cannot parse {raw:?}: {e}")))
+    }
+
+    /// Takes every argument that is not a flag, in order. Call it after
+    /// the flags and values, so their values are not taken for
+    /// positionals.
+    pub fn positionals(&mut self) -> Vec<String> {
+        let (flags, positionals) = self.rest.drain(..).partition(|a| a.starts_with("--"));
+        self.rest = flags;
+        positionals
+    }
+
+    /// Ends parsing, naming any arguments that were not taken.
+    pub fn finish(self) {
+        assert!(self.rest.is_empty(), "unknown argument(s): {}", self.rest.join(" "));
+    }
 }
 
 #[cfg(test)]
@@ -207,5 +220,59 @@ mod tests {
     fn geo_mean_basics() {
         assert!((geo_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert!(geo_mean(&[]).is_nan());
+    }
+
+    fn args(argv: &[&str]) -> Args {
+        Args::new(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn args_take_flags_values_and_positionals() {
+        let mut a = args(&["trace.json", "--seed", "7", "--smoke", "--cache-dir", "d", "x"]);
+        assert_eq!(a.value::<u64>("--seed"), Some(7));
+        assert!(a.flag("--smoke"));
+        assert!(!a.flag("--decode"));
+        assert_eq!(a.value::<String>("--cache-dir").as_deref(), Some("d"));
+        assert_eq!(a.value::<f64>("--rate"), None);
+        assert_eq!(a.positionals(), ["trace.json", "x"]);
+        a.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument(s): --no-such-flag")]
+    fn args_reject_an_unknown_flag() {
+        let mut a = args(&["--smoke", "--no-such-flag"]);
+        a.flag("--smoke");
+        a.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument(s): stray")]
+    fn args_reject_a_positional_nobody_takes() {
+        args(&["stray"]).finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "--json needs a value")]
+    fn args_reject_a_missing_value() {
+        args(&["--json"]).value::<String>("--json");
+    }
+
+    #[test]
+    #[should_panic(expected = "--json needs a value")]
+    fn args_do_not_take_a_flag_as_a_value() {
+        args(&["--json", "--smoke"]).value::<String>("--json");
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed: cannot parse \"x7\"")]
+    fn args_reject_an_unparsable_value() {
+        args(&["--seed", "x7"]).value::<u64>("--seed");
+    }
+
+    #[test]
+    #[should_panic(expected = "--smoke given more than once")]
+    fn args_reject_a_repeated_flag() {
+        args(&["--smoke", "--json", "a", "--smoke"]).flag("--smoke");
     }
 }
